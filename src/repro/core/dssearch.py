@@ -16,12 +16,18 @@ Drop condition (Definition 8): once ``2*wc < dx`` and ``2*hc < dy``
 argues (Theorem 2) that every disjoint region then contains a clean
 cell; to also cover disjoint regions *clipped* by sub-space boundaries
 (where that argument does not directly apply) we resolve each surviving
-dirty cell exactly by enumerating the midpoints between the rectangle
-edges crossing it — at the drop scale a cell is crossed by at most one
-distinct edge coordinate per axis, so this evaluates at most 4 points
-per cell. The enumeration is written for any number of interior edges,
-which both closes the boundary-clipping corner case and keeps the
-algorithm exact for *any* user-supplied accuracy override.
+dirty cell exactly by evaluating its local arrangement — the grid cut by
+the distinct rectangle edges inside it, whose cells are exactly the
+disjoint regions (Lemma 3). At the drop scale a cell is crossed by at
+most one distinct edge coordinate per axis (at most 4 arrangement
+cells), but the evaluation is written for any number of edges, which
+both closes the boundary-clipping corner case and keeps the algorithm
+exact for *any* user-supplied accuracy override.
+
+Discretize's cell centers and the arrangement cells are evaluated by one
+kernel: ``_accum_planes`` difference arrays over an explicit edge grid
+(the prefix-sum idea of Lemma 8), costing O(m*C + cells*C) for ``m``
+rectangles and ``C`` aggregator channels.
 
 ``delta > 0`` turns on the paper's Section-6 approximation: only dirty
 cells with ``lb < dopt/(1+delta)`` are split / kept, giving the
@@ -39,16 +45,12 @@ from repro.core.distance import lower_bound, weighted_l1
 from repro.core.geometry import Space
 from repro.core.reduction import ASPProblem
 
-#: If a space overlaps at most this many rectangles, resolve it by exact
-#: enumeration instead of another discretize/split round. Pure
-#: constant-factor guard (enumeration is exact); 0 disables.
-DEFAULT_ENUM_RECTS = 16
-
-#: If a space's local arrangement is small — (interior x-edges + 1) *
-#: (interior y-edges + 1) at most this — resolve it by the exact local
-#: sweep. This is what terminates sliver sub-spaces that are thinner
-#: than the accuracy in one axis only (the two-axis drop condition
-#: cannot fire for them, and MBR splits cannot shrink them further).
+#: If a space's local arrangement has at most this many cells —
+#: (interior x-edges + 1) * (interior y-edges + 1) — resolve it exactly
+#: at O(m*C + cells*C) instead of another discretize/split round. This is
+#: what terminates sliver sub-spaces that are thinner than the accuracy
+#: in one axis only (the two-axis drop condition cannot fire for them,
+#: and MBR splits cannot shrink them further).
 DEFAULT_ENUM_POINTS = 4096
 
 
@@ -63,10 +65,6 @@ class SearchStats:
     drop_events: int = 0
     enum_spaces: int = 0
     points_evaluated: int = 0
-
-    def merge(self, other: "SearchStats") -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
 @dataclass
@@ -144,6 +142,34 @@ def _accum_planes(
     return D.cumsum(axis=1).cumsum(axis=2)[:, :ncol, :nrow]
 
 
+def _best_center(
+    prob: ASPProblem, idx: np.ndarray, edges_x: np.ndarray, edges_y: np.ndarray
+) -> tuple[float, tuple[float, float]]:
+    """Best exact distance over the centers of the grid cut by
+    ``edges_x x edges_y``, and the center attaining it.
+
+    A rectangle of ``idx`` covers a center iff the center lies strictly
+    inside it, so each rectangle adds its channel weights to the index
+    box of the centers it contains (one ``_accum_planes`` call).
+    """
+    ncol, nrow = len(edges_x) - 1, len(edges_y) - 1
+    centers_x = (edges_x[:-1] + edges_x[1:]) / 2.0
+    centers_y = (edges_y[:-1] + edges_y[1:]) / 2.0
+    sums = _accum_planes(
+        np.searchsorted(centers_x, prob.x_lo[idx], side="right"),
+        np.searchsorted(centers_x, prob.x_hi[idx], side="left") - 1,
+        np.searchsorted(centers_y, prob.y_lo[idx], side="right"),
+        np.searchsorted(centers_y, prob.y_hi[idx], side="left") - 1,
+        prob.prepared.weights[idx],
+        ncol,
+        nrow,
+    )
+    reps = prob.prepared.rep_from_sums(np.moveaxis(sums, 0, -1))
+    dists = weighted_l1(reps, prob.query_rep, prob.weights)
+    bi, bj = divmod(int(np.argmin(dists)), nrow)
+    return float(dists[bi, bj]), (float(centers_x[bi]), float(centers_y[bj]))
+
+
 def discretize(
     prob: ASPProblem,
     space: Space,
@@ -154,7 +180,7 @@ def discretize(
 ) -> GridResult:
     """Function Discretize of the paper.
 
-    Classifies cells clean/dirty, takes the best clean-cell center as an
+    Classifies cells clean/dirty, takes the best cell center as an
     intermediate result, and computes the Eq.-1 lower bound for every
     dirty cell. All classifications compare rectangle extents against a
     single shared cell-edge array, so the full/cover sandwich is exact.
@@ -193,28 +219,11 @@ def discretize(
     full_sums = np.moveaxis(full[:-1], 0, -1)
     cover_sums = np.moveaxis(cover[:-1], 0, -1)
 
-    # Exact representation at every cell *center* (centers are feasible
-    # ASP locations, so their distances always soundly update the
-    # incumbent — for clean cells this coincides with the cell's single
-    # representation, for dirty cells it is a high-quality sample that
-    # makes the incumbent converge fast on plateau-heavy workloads).
-    centers_x = (edges_x[:-1] + edges_x[1:]) / 2.0
-    centers_y = (edges_y[:-1] + edges_y[1:]) / 2.0
-    icc0 = np.searchsorted(centers_x, xl, side="right")
-    icc1 = np.searchsorted(centers_x, xh, side="left") - 1
-    jcc0 = np.searchsorted(centers_y, yl, side="right")
-    jcc1 = np.searchsorted(centers_y, yh, side="left") - 1
-    center = _accum_planes(
-        icc0, np.minimum(icc1, ncol - 1), jcc0, np.minimum(jcc1, nrow - 1),
-        Wext, ncol, nrow,
-    )
-    center_sums = np.moveaxis(center[:-1], 0, -1)
-    reps = prob.prepared.rep_from_sums(center_sums)
-    dists = weighted_l1(reps, prob.query_rep, prob.weights)
-    flat = int(np.argmin(dists))
-    bi, bj = divmod(flat, nrow)
-    best_dist = float(dists[bi, bj])
-    best_pt = (float(centers_x[bi]), float(centers_y[bj]))
+    # Cell centers are feasible ASP locations, so their exact distances
+    # always soundly update the incumbent — for clean cells this is the
+    # cell's single representation, for dirty cells a high-quality sample
+    # that makes the incumbent converge fast on plateau-heavy workloads.
+    best_dist, best_pt = _best_center(prob, idx, edges_x, edges_y)
 
     di, dj = np.nonzero(~clean)
     if len(di):
@@ -316,23 +325,21 @@ def split(grid: GridResult, threshold: float) -> list[tuple[Space, float]]:
     return out
 
 
-def interior_edge_counts(prob: ASPProblem, space: Space, idx: np.ndarray) -> tuple[int, int]:
-    """Distinct rectangle-edge coordinates strictly inside the space, per
-    axis — the size of the local arrangement (cost driver of
-    ``enumerate_space``)."""
-    xl, xh = prob.x_lo[idx], prob.x_hi[idx]
-    yl, yh = prob.y_lo[idx], prob.y_hi[idx]
-    ex = np.unique(
-        np.concatenate(
-            [xl[(space.x0 < xl) & (xl < space.x1)], xh[(space.x0 < xh) & (xh < space.x1)]]
-        )
+def arrangement_edges(
+    prob: ASPProblem, space: Space, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of the local arrangement per axis: the space's boundary plus
+    the distinct edges of the ``idx`` rectangles strictly inside it.
+
+    By Lemma 3 the grid these edges cut is exactly the set of disjoint
+    regions inside ``space``: every cell is clean.
+    """
+    x = np.concatenate([prob.x_lo[idx], prob.x_hi[idx], [space.x0, space.x1]])
+    y = np.concatenate([prob.y_lo[idx], prob.y_hi[idx], [space.y0, space.y1]])
+    return (
+        np.unique(np.clip(x, space.x0, space.x1)),
+        np.unique(np.clip(y, space.y0, space.y1)),
     )
-    ey = np.unique(
-        np.concatenate(
-            [yl[(space.y0 < yl) & (yl < space.y1)], yh[(space.y0 < yh) & (yh < space.y1)]]
-        )
-    )
-    return len(ex), len(ey)
 
 
 def enumerate_space(
@@ -340,68 +347,25 @@ def enumerate_space(
     space: Space,
     stats: SearchStats | None = None,
     idx: np.ndarray | None = None,
+    edges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, tuple[float, float]]:
-    """Exact resolution of a (small) space by a local sweep.
+    """Exact resolution of a (small) space: evaluate its local arrangement.
 
-    The x-edge coordinates inside the space define columns; within each
-    column a y-sweep accumulates channel sums over the active rectangle
-    events and evaluates every disjoint-region fragment (clipped to the
-    space) at its midpoint, vectorised over the column's intervals.
-    Cost is O((ex+1) * Ey) — cheap whenever the local arrangement is
-    small, e.g. the sliver sub-spaces produced late in the split
-    recursion and the sub-accuracy cells of the drop condition.
+    Every arrangement cell is a disjoint region, so its center's distance
+    is the distance of the whole region and the best center is the exact
+    optimum over ``space``. Cost is O(m*C + cells*C) — cheap whenever the
+    arrangement is small, e.g. the sliver sub-spaces produced late in the
+    split recursion and the sub-accuracy cells of the drop condition.
+    ``edges`` passes in an already computed ``arrangement_edges``.
     """
     if idx is None:
         idx = prob.overlapping(space)
-    xl, xh = prob.x_lo[idx], prob.x_hi[idx]
-    yl, yh = prob.y_lo[idx], prob.y_hi[idx]
-    W = prob.prepared.weights[idx]
-    ex = np.unique(
-        np.concatenate(
-            [xl[(space.x0 < xl) & (xl < space.x1)], xh[(space.x0 < xh) & (xh < space.x1)]]
-        )
-    )
-    xb = np.concatenate([[space.x0], ex, [space.x1]])
-    xs = (xb[:-1] + xb[1:]) / 2.0
-    ymid = (space.y0 + space.y1) / 2.0
-    best, best_pt = np.inf, (float(xs[0]), ymid)
-    n_pts = 0
-    for x in xs:
-        mx = (xl < x) & (x < xh)
-        if not mx.any():
-            d = prob.empty_dist
-            n_pts += 1
-            if d < best:
-                best, best_pt = d, (float(x), ymid)
-            continue
-        ylm, yhm, Wx = yl[mx], yh[mx], W[mx]
-        ys = np.concatenate([ylm, yhm])
-        deltas = np.concatenate([Wx, -Wx], axis=0)
-        order = np.argsort(ys, kind="stable")
-        ys_sorted = ys[order]
-        cum = np.cumsum(deltas[order], axis=0)
-        # intervals: (-inf, ys[0]) empty, (ys[k], ys[k+1]) with state
-        # cum[k], (ys[-1], inf) empty — clip each to the space's y-range
-        lo = np.concatenate([[-np.inf], ys_sorted])
-        hi = np.concatenate([ys_sorted, [np.inf]])
-        states = np.concatenate([np.zeros((1, W.shape[1])), cum], axis=0)
-        clo = np.maximum(lo, space.y0)
-        chi = np.minimum(hi, space.y1)
-        valid = chi > clo
-        if not valid.any():
-            continue
-        sums = states[valid]
-        mids = (clo[valid] + chi[valid]) / 2.0
-        reps = prob.prepared.rep_from_sums(sums)
-        dists = weighted_l1(reps, prob.query_rep, prob.weights)
-        n_pts += len(dists)
-        k = int(np.argmin(dists))
-        if dists[k] < best:
-            best, best_pt = float(dists[k]), (float(x), float(mids[k]))
+    ex, ey = edges if edges is not None else arrangement_edges(prob, space, idx)
+    best = _best_center(prob, idx, ex, ey)
     if stats is not None:
         stats.enum_spaces += 1
-        stats.points_evaluated += n_pts
-    return best, best_pt
+        stats.points_evaluated += (len(ex) - 1) * (len(ey) - 1)
+    return best
 
 
 def _bisect(space: Space) -> list[Space]:
@@ -422,7 +386,6 @@ def ds_search(
     delta: float = 0.0,
     init: tuple[float, tuple[float, float]] | None = None,
     include_empty: bool = True,
-    enum_rects: int = DEFAULT_ENUM_RECTS,
     enum_points: int = DEFAULT_ENUM_POINTS,
     stats: SearchStats | None = None,
 ) -> tuple[float, tuple[float, float], SearchStats]:
@@ -480,25 +443,23 @@ def ds_search(
                 & (prob.y_hi[parent_idx] > c.y0)
             )
             idx = parent_idx[m]
-        ex = ey = -1
-        small = enum_rects and len(idx) <= enum_rects
-        if not small and enum_points:
-            ex, ey = interior_edge_counts(prob, c, idx)
-            # local sweep cost is O((ex+1) * Ey) — resolve exactly once the
-            # local arrangement fits the budget
-            small = (ex + 1) * (ey + 1) <= enum_points
-        if small:
-            d, pt = enumerate_space(prob, c, stats, idx)
-            if d < dopt:
-                dopt, popt = d, pt
-            continue
-        # A space that is a sliver in one axis (<= 2 interior edge
-        # coordinates) can never satisfy the two-axis drop condition and
-        # 2-D MBR splits cannot shrink it; recurse 1-D instead, putting
-        # the full cell budget on the long axis so its bounds stay tight.
-        if 0 <= ex <= 2:
+        sliver_x = sliver_y = False
+        if enum_points:
+            ex, ey = arrangement_edges(prob, c, idx)
+            if (len(ex) - 1) * (len(ey) - 1) <= enum_points:
+                d, pt = enumerate_space(prob, c, stats, idx, (ex, ey))
+                if d < dopt:
+                    dopt, popt = d, pt
+                continue
+            # A space that is a sliver in one axis (<= 2 interior edge
+            # coordinates, i.e. <= 4 edges with the boundary) can never
+            # satisfy the two-axis drop condition and 2-D MBR splits
+            # cannot shrink it; recurse 1-D instead, putting the full cell
+            # budget on the long axis so its bounds stay tight.
+            sliver_x, sliver_y = len(ex) <= 4, len(ey) <= 4
+        if sliver_x:
             grid = discretize(prob, c, 1, ncol * nrow, stats, idx)
-        elif 0 <= ey <= 2:
+        elif sliver_y:
             grid = discretize(prob, c, ncol * nrow, 1, stats, idx)
         else:
             grid = discretize(prob, c, ncol, nrow, stats, idx)
@@ -550,7 +511,6 @@ def asrs_search(
     nrow: int = 30,
     delta: float = 0.0,
     accuracy: tuple[float, float] | None = None,
-    enum_rects: int = DEFAULT_ENUM_RECTS,
 ) -> tuple[float, Space, SearchStats]:
     """End-to-end ASRS: reduce to ASP (Theorem 1) and run DS-Search.
 
@@ -560,7 +520,5 @@ def asrs_search(
     from repro.core.reduction import build_asp
 
     prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
-    d, (px, py), stats = ds_search(
-        prob, ncol=ncol, nrow=nrow, delta=delta, enum_rects=enum_rects
-    )
+    d, (px, py), stats = ds_search(prob, ncol=ncol, nrow=nrow, delta=delta)
     return d, Space(px, px + a, py, py + b), stats

@@ -36,10 +36,6 @@ class Space:
     def contains_point(self, x: float, y: float) -> bool:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
-    def overlaps_open(self, x0: float, x1: float, y0: float, y1: float) -> bool:
-        """Open-interior overlap test against another box."""
-        return x0 < self.x1 and x1 > self.x0 and y0 < self.y1 and y1 > self.y0
-
     def same_extent(self, other: "Space", tol: float = 0.0) -> bool:
         return (
             abs(self.x0 - other.x0) <= tol

@@ -32,7 +32,7 @@ from repro.core.aggregators import CompositeAggregator, Prepared
 from repro.core.distance import lower_bound
 from repro.core.dssearch import SearchStats, ds_search
 from repro.core.geometry import Space
-from repro.core.reduction import ASPProblem, build_asp
+from repro.core.reduction import build_asp, object_coords
 
 
 @dataclass
@@ -82,11 +82,18 @@ def build_grid_index(
     bounds: tuple[float, float, float, float] | None = None,
 ) -> GridIndex:
     """Build the index: bucket objects into cells, accumulate channel
-    planes, and take 2-D suffix sums (the dense attribute summaries)."""
-    x = objects["x"].to_numpy(dtype=np.float64)
-    y = objects["y"].to_numpy(dtype=np.float64)
+    planes, and take 2-D suffix sums (the dense attribute summaries).
+
+    Raises ``ValueError`` on non-finite coordinates; an empty table gives
+    an all-zero index.
+    """
+    x, y = object_coords(objects)
     if bounds is None:
-        bounds = (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
+        bounds = (
+            (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
+            if len(x)
+            else (0.0, 0.0, 0.0, 0.0)
+        )
     x0, x1, y0, y1 = bounds
     cw = (x1 - x0) / sx if x1 > x0 else 1.0
     ch = (y1 - y0) / sy if y1 > y0 else 1.0
@@ -176,7 +183,6 @@ def gi_ds(
     nrow: int = 30,
     delta: float = 0.0,
     accuracy: tuple[float, float] | None = None,
-    enum_rects: int = 16,
 ) -> tuple[float, tuple[float, float], GIStats]:
     """Algorithm 2 (GI-DS) / its Section-6 approximation (delta > 0).
 
@@ -208,7 +214,6 @@ def gi_ds(
             delta=delta,
             init=(dopt, popt),
             include_empty=False,
-            enum_rects=enum_rects,
             stats=stats.ds,
         )
         stats.searched_cells += 1

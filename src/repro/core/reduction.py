@@ -18,6 +18,20 @@ from repro.core.distance import weighted_l1
 from repro.core.geometry import Space
 
 
+def object_coords(objects: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The objects' ``x``/``y`` columns as float arrays.
+
+    Raises ``ValueError`` on NaN or infinite coordinates: a single one
+    makes the search space (the rectangles' MBR) non-finite, and the
+    searches would then silently return a wrong distance.
+    """
+    x = objects["x"].to_numpy(dtype=np.float64)
+    y = objects["y"].to_numpy(dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("object coordinates x/y must be finite (found NaN or inf)")
+    return x, y
+
+
 def min_gap(values: np.ndarray) -> float:
     """Minimum distance between distinct values (Definition 7).
 
@@ -102,10 +116,9 @@ def build_asp(
     minimum gap between distinct rectangle-edge coordinates. Supplying a
     *larger* value only makes DS-Search switch earlier from splitting to
     exact in-cell enumeration (see dssearch.py) — exactness holds either
-    way.
+    way. Raises ``ValueError`` on non-finite coordinates.
     """
-    x = objects["x"].to_numpy(dtype=np.float64)
-    y = objects["y"].to_numpy(dtype=np.float64)
+    x, y = object_coords(objects)
     x_lo, x_hi = x - a, x
     y_lo, y_hi = y - b, y
     if accuracy is None:

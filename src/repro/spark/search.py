@@ -176,7 +176,9 @@ def gi_ds_distributed(
     x0, y0, cw, ch = index.x0, index.y0, index.cw, index.ch
     seed_dopt = dopt
 
-    def kernel(key, pdf: pd.DataFrame) -> pd.DataFrame:
+    # no type hints: partial hints make PySpark warn that it cannot infer
+    # the eval type; without any it uses the grouped-map UDF directly
+    def kernel(key, pdf):
         i, j = int(key[0]), int(key[1])
         cell = Space(x0 + i * cw, x0 + (i + 1) * cw, y0 + j * ch, y0 + (j + 1) * ch)
         prob = build_asp(

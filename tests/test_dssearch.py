@@ -47,7 +47,7 @@ class TestExactness:
         """Pure paper algorithm: no small-space enumeration shortcut."""
         prob = random_prob(seed, n=20)
         expected, _ = brute_force_asp(prob)
-        got, _, _ = ds_search(prob, enum_rects=0, enum_points=0)
+        got, _, _ = ds_search(prob, enum_points=0)
         assert got == pytest.approx(expected, abs=1e-8)
 
     @pytest.mark.parametrize("grid", [(5, 5), (10, 20), (30, 30)])
@@ -188,7 +188,7 @@ class TestDropAndTermination:
         qrep, w = np.array([1.5, 0.5, 0.5]), np.ones(3)
         prob = build_asp(df, F, qrep, w, 1.5, 1.5, accuracy=(1e9, 1e9))
         expected, _ = brute_force_asp(prob)
-        got, _, stats = ds_search(prob, enum_rects=0, enum_points=0)
+        got, _, stats = ds_search(prob, enum_points=0)
         assert got == pytest.approx(expected, abs=1e-8)
         assert stats.drop_events >= 1
 
@@ -201,7 +201,7 @@ class TestDropAndTermination:
         F = CompositeAggregator((dist_agg("color", domain=("red", "blue")),))
         prob = build_asp(df, F, np.array([5.0, 5.0]), np.ones(2), 0.7, 0.7)
         expected, _ = brute_force_asp(prob)
-        got, _, _ = ds_search(prob, enum_rects=0, enum_points=0)
+        got, _, _ = ds_search(prob, enum_points=0)
         assert got == pytest.approx(expected, abs=1e-8)
 
 

@@ -1,21 +1,27 @@
 """White-box tests for DS-Search internals: the difference-array plane
-accumulator, interior-edge counts, and the enumeration trigger."""
+accumulator, the local arrangement and its evaluation, and the
+enumeration trigger."""
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregators import CompositeAggregator, dist_agg, sum_agg
+from repro.core.bruteforce import brute_force_asp
 from repro.core.dssearch import (
+    SearchStats,
     _accum_planes,
+    arrangement_edges,
     discretize,
     ds_search,
-    interior_edge_counts,
+    enumerate_space,
 )
 from repro.core.geometry import Space
 from repro.core.reduction import build_asp
-from tests.conftest import random_objects, random_query, aggregator_zoo
+from tests.conftest import COLORS, aggregator_zoo, random_objects, random_query
 
 
 class TestAccumPlanes:
@@ -60,33 +66,65 @@ class TestAccumPlanes:
         assert planes[0, 0, 0] == 1.0  # only the first
 
 
-class TestInteriorEdges:
-    def test_counts_strictly_inside_only(self):
+class TestArrangementEdges:
+    def test_interior_edges_plus_boundary(self):
         df = pd.DataFrame({"x": [2.0, 5.0], "y": [2.0, 5.0], "val": [1.0, 1.0]})
         F = CompositeAggregator((sum_agg("val"),))
         prob = build_asp(df, F, np.array([1.0]), np.ones(1), 1.0, 1.0)
         # rect edges at x in {1,2,4,5}; space (1.5, 4.5): interior {2, 4}
         s = Space(1.5, 4.5, 0.0, 6.0)
-        idx = prob.overlapping(s)
-        ex, ey = interior_edge_counts(prob, s, idx)
-        assert ex == 2
+        ex, ey = arrangement_edges(prob, s, prob.overlapping(s))
+        np.testing.assert_array_equal(ex, [1.5, 2.0, 4.0, 4.5])
         # y edges {1,2,4,5} all inside (0,6)
-        assert ey == 4
+        np.testing.assert_array_equal(ey, [0.0, 1.0, 2.0, 4.0, 5.0, 6.0])
 
-    def test_boundary_edges_excluded(self):
+    def test_boundary_edges_not_duplicated(self):
         df = pd.DataFrame({"x": [2.0], "y": [2.0], "val": [1.0]})
         F = CompositeAggregator((sum_agg("val"),))
         prob = build_asp(df, F, np.array([1.0]), np.ones(1), 1.0, 1.0)
         s = Space(1.0, 2.0, 1.0, 2.0)  # both edges on the boundary
-        ex, ey = interior_edge_counts(prob, s, prob.overlapping(s))
-        assert (ex, ey) == (0, 0)
+        ex, ey = arrangement_edges(prob, s, prob.overlapping(s))
+        np.testing.assert_array_equal(ex, [1.0, 2.0])
+        np.testing.assert_array_equal(ey, [1.0, 2.0])
+
+
+class TestEnumerateSpaceProperty:
+    """The arrangement kernel against the brute-force oracle on small
+    lattice instances: duplicate objects, aligned edges, single objects."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        F = data.draw(st.sampled_from(aggregator_zoo()))
+        n = data.draw(st.integers(1, 8))
+        coord = st.integers(0, 8).map(lambda k: k * 0.5)
+        df = pd.DataFrame(
+            {
+                "x": data.draw(st.lists(coord, min_size=n, max_size=n)),
+                "y": data.draw(st.lists(coord, min_size=n, max_size=n)),
+                "color": data.draw(st.lists(st.sampled_from(COLORS), min_size=n, max_size=n)),
+                "val": data.draw(st.lists(st.integers(-5, 10), min_size=n, max_size=n)),
+            }
+        ).astype({"val": float})
+        a = data.draw(st.integers(1, 6)) * 0.5
+        b = data.draw(st.integers(1, 6)) * 0.5
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        qrep, w = random_query(rng, F, df, a, b)
+        prob = build_asp(df, F, qrep, w, a, b)
+        expected, _ = brute_force_asp(prob)
+        stats = SearchStats()
+        d, pt = enumerate_space(prob, prob.space, stats)
+        # the oracle also sees the empty region outside the rectangles'
+        # MBR, which ds_search seeds separately
+        assert min(d, prob.empty_dist) == pytest.approx(expected, abs=1e-8)
+        assert prob.point_dist(*pt) == pytest.approx(d, abs=1e-8)
+        ex, ey = arrangement_edges(prob, prob.space, np.arange(prob.n))
+        assert stats.points_evaluated == (len(ex) - 1) * (len(ey) - 1)
 
 
 class TestEnumerationTrigger:
     @pytest.mark.parametrize("budget", [0, 64, 100000])
     def test_any_budget_is_exact(self, budget):
-        from repro.core.bruteforce import brute_force_asp
-
         rng = np.random.default_rng(11)
         df = random_objects(rng, 30)
         F = aggregator_zoo()[0]
@@ -102,7 +140,7 @@ class TestEnumerationTrigger:
         F = aggregator_zoo()[0]
         qrep, w = random_query(rng, F, df, 1.5, 1.5)
         prob = build_asp(df, F, qrep, w, 1.5, 1.5)
-        _, _, stats = ds_search(prob, enum_points=10**9, enum_rects=0)
+        _, _, stats = ds_search(prob, enum_points=10**9)
         assert stats.enum_spaces == 1
         assert stats.spaces_processed == 1
 

@@ -1,4 +1,4 @@
-"""Space primitive: extents, containment, overlap, degeneracy."""
+"""Space primitive: extents, containment, degeneracy, extent equality."""
 from __future__ import annotations
 
 import pytest
@@ -23,13 +23,6 @@ def test_contains_point_closed():
     assert s.contains_point(0, 0) and s.contains_point(2, 2)
     assert s.contains_point(1, 1)
     assert not s.contains_point(2.1, 1)
-
-
-def test_overlaps_open_excludes_touching():
-    s = Space(0, 2, 0, 2)
-    assert s.overlaps_open(1, 3, 1, 3)
-    assert not s.overlaps_open(2, 3, 0, 2)  # shares only an edge
-    assert not s.overlaps_open(-1, 0, 0, 2)
 
 
 def test_same_extent():

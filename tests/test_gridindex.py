@@ -153,3 +153,18 @@ class TestGIDS:
         _, _, s_exact = gi_ds(df, F, qrep, w, a, b, sx=10, sy=10)
         _, _, s_app = gi_ds(df, F, qrep, w, a, b, sx=10, sy=10, delta=0.4)
         assert s_app.searched_cells <= s_exact.searched_cells
+
+    def test_empty_table_gives_empty_region(self):
+        df = random_objects(np.random.default_rng(0), 5).iloc[:0]
+        F = aggregator_zoo()[4]
+        qrep, w = np.array([1.0, 0.0, 0.0, 2.0, 1.0]), np.ones(5)
+        expected, _, _ = ds_search(build_asp(df, F, qrep, w, 1.0, 1.0))
+        got, _, stats = gi_ds(df, F, qrep, w, 1.0, 1.0, sx=4, sy=4)
+        assert got == pytest.approx(expected) and stats.searched_cells == 0
+
+    @pytest.mark.parametrize("col", ["x", "y"])
+    def test_nonfinite_coordinates_rejected(self, col):
+        df, F, qrep, w, a, b = make_inputs(1)
+        df.loc[3, col] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            build_grid_index(df, F, 4, 4)

@@ -145,3 +145,13 @@ class TestProblemHelpers:
         df = pd.DataFrame({"x": [], "y": [], "color": []})
         prob = build(df)
         assert prob.n == 0 and prob.space.area == 0.0
+
+    @pytest.mark.parametrize("col", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coordinates_rejected(self, col, bad):
+        """One NaN/inf coordinate would make DS-Search disagree with the
+        oracle; the reduction rejects it instead."""
+        df = fig2_objects()
+        df.loc[1, col] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build(df)
