@@ -1,6 +1,7 @@
 """General ASRS entrypoint: run one attribute-aware similar-region query
 end-to-end with the *distributed* GI-DS dataflow (index build via
-groupBy/window, parallel applyInPandas candidate-cell scan).
+mapInPandas channel planes + groupBy, parallel applyInPandas
+candidate-cell scan).
 
 Run: spark-submit jobs/run_asrs.py [n] [k] [delta]
 """

@@ -42,6 +42,7 @@ case open); its dirty-cell bounds additionally use the global
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Sequence
 
 import numpy as np
@@ -118,21 +119,21 @@ def sum_agg(attr: str, gamma: Selection = ALL) -> AggregatorSpec:
 
 @dataclass
 class PreparedSpec:
-    """A spec bound to a concrete object table.
+    """A spec with its fD domain / fA ``[amin, amax]`` range fixed.
 
-    ``weights`` has shape ``(n_objects, n_channels)``; summing rows over
-    any object subset yields that subset's channel sums.
+    Summing ``Prepared.channel_weights`` rows over any object subset
+    yields that subset's channel sums.
     """
 
     spec: AggregatorSpec
-    weights: np.ndarray
     domain: tuple = ()
     amin: float = 0.0
     amax: float = 0.0
 
     @property
     def n_channels(self) -> int:
-        return self.weights.shape[1]
+        k = self.spec.kind
+        return len(self.domain) if k == "dist" else 2 if k == "sum" else 3 + AVG_BUCKETS
 
     @property
     def out_dim(self) -> int:
@@ -202,14 +203,56 @@ class PreparedSpec:
 
 @dataclass
 class Prepared:
-    """A composite aggregator bound to a concrete object table."""
+    """A composite aggregator's channel layout, bound to an object table
+    by ``CompositeAggregator.prepare`` (``weights``) or to metadata alone
+    by ``prepare_meta`` (``weights`` has no rows)."""
 
     specs: list[PreparedSpec]
     n_channels: int
-    out_dim: int
     ch_slices: list[slice]
-    out_slices: list[slice]
     weights: np.ndarray = field(repr=False)  # (n_objects, n_channels)
+
+    @property
+    def out_dim(self) -> int:
+        return sum(ps.out_dim for ps in self.specs)
+
+    def channel_weights(self, df: pd.DataFrame) -> np.ndarray:
+        """Per-object channel weights ``(len(df), n_channels)``: the one
+        definition of the channels (see the module docstring).
+
+        Each row depends only on its own object and this layout's fD
+        domains and fA ranges, so the weights of any row partition are
+        the matching rows of the whole table's. fD values outside the
+        domain get no channel.
+        """
+        W = np.zeros((len(df), self.n_channels))
+        for ps, sl in zip(self.specs, self.ch_slices):
+            spec, w = ps.spec, W[:, sl]
+            gmask = spec.gamma.mask(df)
+            if spec.kind == "dist":
+                codes = pd.Categorical(df[spec.attr], categories=list(ps.domain)).codes
+                rows = np.flatnonzero(gmask & (codes >= 0))
+                w[rows, codes[rows]] = 1.0
+                continue
+            vals = df[spec.attr].to_numpy(dtype=np.float64)
+            g = gmask.astype(np.float64)
+            if spec.kind == "sum":
+                w[:, 0] = np.maximum(vals, 0.0) * g
+                w[:, 1] = np.minimum(vals, 0.0) * g
+                continue
+            # avg: cnt, pos, neg, then one-hot value buckets over [amin, amax]
+            w[:, 0] = g
+            w[:, 1] = np.maximum(vals, 0.0) * g
+            w[:, 2] = np.minimum(vals, 0.0) * g
+            width = (ps.amax - ps.amin) or 1.0
+            code = np.clip(
+                np.floor((vals - ps.amin) / width * AVG_BUCKETS).astype(np.int64),
+                0,
+                AVG_BUCKETS - 1,
+            )
+            rows = np.flatnonzero(gmask)
+            w[rows, 3 + code[rows]] = 1.0
+        return W
 
     def rep_from_sums(self, sums: np.ndarray) -> np.ndarray:
         """Representation from concatenated channel sums ``[..., n_channels]``."""
@@ -236,69 +279,35 @@ class Prepared:
         return self.rep_from_sums(np.zeros(self.n_channels))
 
 
-def bucket_indicators(
-    vals: np.ndarray, gmask: np.ndarray, amin: float, amax: float
-) -> np.ndarray:
-    """One-hot (n, AVG_BUCKETS) bucket membership for gamma-selected values."""
-    n = len(vals)
-    width = (amax - amin) or 1.0
-    code = np.clip(
-        np.floor((vals - amin) / width * AVG_BUCKETS).astype(np.int64),
-        0,
-        AVG_BUCKETS - 1,
-    )
-    out = np.zeros((n, AVG_BUCKETS))
-    sel = gmask > 0
-    out[np.arange(n)[sel], code[sel]] = 1.0
-    return out
-
-
 def prepare_meta(
     F: "CompositeAggregator",
     domains: dict[int, tuple] | None = None,
     minmax: dict[int, tuple[float, float]] | None = None,
 ) -> Prepared:
-    """A ``Prepared`` built from metadata alone (no object table).
+    """The channel layout of ``F``, built from metadata alone.
 
-    Used by the Spark layer: channel *sums* arrive from distributed
-    aggregation, so only the spec structure, fD domains and fA
-    ``[amin, amax]`` ranges are needed to evaluate representations and
-    bound sandwiches. ``domains[i]`` / ``minmax[i]`` supply those for
-    spec ``i`` when not already fixed on the spec. The resulting
-    ``weights`` matrix is empty — ``rep_for_mask`` is unavailable.
+    ``domains[i]`` supplies spec ``i``'s fD domain when the spec does not
+    fix one (an fD domain given by neither is empty); ``minmax[i]`` its
+    fA ``[amin, amax]`` (default ``(0, 0)``). The Spark layer builds its
+    layout here from globally collected metadata, so every task's
+    ``channel_weights`` and the driver's bound math agree. ``weights``
+    has no rows — ``rep_for_mask`` is unavailable.
     """
     domains = domains or {}
     minmax = minmax or {}
-    prepared: list[PreparedSpec] = []
+    specs = []
     for i, spec in enumerate(F.specs):
         if spec.kind == "dist":
-            domain = spec.domain or tuple(domains.get(i, ()))
-            if not domain:
-                raise ValueError(
-                    f"spec {i}: fD needs an explicit domain for metadata-only prepare"
-                )
-            w = np.zeros((0, len(domain)))
-            prepared.append(PreparedSpec(spec, w, domain=domain))
+            specs.append(PreparedSpec(spec, domain=tuple(spec.domain or domains.get(i, ()))))
         else:
             amin, amax = minmax.get(i, (0.0, 0.0))
-            nch = 2 if spec.kind == "sum" else 3 + AVG_BUCKETS
-            prepared.append(
-                PreparedSpec(spec, np.zeros((0, nch)), amin=float(amin), amax=float(amax))
-            )
-    ch_slices, out_slices = [], []
-    c = o = 0
-    for ps in prepared:
-        ch_slices.append(slice(c, c + ps.n_channels))
-        out_slices.append(slice(o, o + ps.out_dim))
-        c += ps.n_channels
-        o += ps.out_dim
+            specs.append(PreparedSpec(spec, amin=float(amin), amax=float(amax)))
+    ends = list(accumulate((ps.n_channels for ps in specs), initial=0))
     return Prepared(
-        specs=prepared,
-        n_channels=c,
-        out_dim=o,
-        ch_slices=ch_slices,
-        out_slices=out_slices,
-        weights=np.zeros((0, c)),
+        specs=specs,
+        n_channels=ends[-1],
+        ch_slices=[slice(c0, c1) for c0, c1 in zip(ends, ends[1:])],
+        weights=np.zeros((0, ends[-1])),
     )
 
 
@@ -309,58 +318,19 @@ class CompositeAggregator:
     specs: tuple[AggregatorSpec, ...]
 
     def prepare(self, df: pd.DataFrame) -> Prepared:
-        """Bind to an object table, materialising per-object channel weights."""
-        prepared: list[PreparedSpec] = []
-        for spec in self.specs:
-            gmask = spec.gamma.mask(df).astype(np.float64)
-            if spec.kind == "dist":
-                domain = spec.domain or tuple(
-                    sorted(pd.unique(df[spec.attr]).tolist())
-                )
-                codes = pd.Categorical(
-                    df[spec.attr], categories=list(domain)
-                ).codes
-                d = len(domain)
-                w = np.zeros((len(df), d))
-                valid = codes >= 0
-                w[np.arange(len(df))[valid], codes[valid]] = 1.0
-                w *= gmask[:, None]
-                prepared.append(PreparedSpec(spec, w, domain=domain))
-            else:
-                vals = df[spec.attr].to_numpy(dtype=np.float64)
-                pos = np.maximum(vals, 0.0) * gmask
-                neg = np.minimum(vals, 0.0) * gmask
-                sel = gmask > 0
-                amin = float(vals[sel].min()) if sel.any() else 0.0
-                amax = float(vals[sel].max()) if sel.any() else 0.0
-                if spec.kind == "sum":
-                    w = np.stack([pos, neg], axis=1)
-                else:  # avg: cnt, pos, neg, bucket indicators
-                    buckets = bucket_indicators(vals, gmask, amin, amax)
-                    w = np.concatenate(
-                        [np.stack([gmask, pos, neg], axis=1), buckets], axis=1
-                    )
-                prepared.append(PreparedSpec(spec, w, amin=amin, amax=amax))
-        ch_slices, out_slices = [], []
-        c = o = 0
-        for ps in prepared:
-            ch_slices.append(slice(c, c + ps.n_channels))
-            out_slices.append(slice(o, o + ps.out_dim))
-            c += ps.n_channels
-            o += ps.out_dim
-        weights = (
-            np.concatenate([ps.weights for ps in prepared], axis=1)
-            if prepared
-            else np.zeros((len(df), 0))
-        )
-        return Prepared(
-            specs=prepared,
-            n_channels=c,
-            out_dim=o,
-            ch_slices=ch_slices,
-            out_slices=out_slices,
-            weights=weights,
-        )
+        """Bind to an object table: fD domains not fixed on a spec and fA
+        ``[amin, amax]`` come from ``df``, then every object's channel
+        weights are materialised."""
+        domains, minmax = {}, {}
+        for i, spec in enumerate(self.specs):
+            if spec.kind == "dist" and not spec.domain:
+                domains[i] = tuple(sorted(pd.unique(df[spec.attr]).tolist()))
+            elif spec.kind == "avg":
+                vals = df[spec.attr].to_numpy(dtype=np.float64)[spec.gamma.mask(df)]
+                minmax[i] = (vals.min(), vals.max()) if len(vals) else (0.0, 0.0)
+        prepared = prepare_meta(self, domains, minmax)
+        prepared.weights = prepared.channel_weights(df)
+        return prepared
 
     @property
     def k(self) -> int:

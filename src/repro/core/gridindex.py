@@ -7,7 +7,10 @@ the equivalent dense form — per-channel 2-D suffix sums — so the
 per-value object count (or value sum) of any axis-aligned block of
 cells comes from four lookups (Lemma 8). The summaries are channelised
 exactly like Discretize (see aggregators.py), so the same bound code
-serves both.
+serves both. The build is two steps, ``cell_planes`` (bucket channel
+weights into per-cell totals) and ``index_from_planes`` (suffix sums);
+the Spark build (``spark.summaries``) runs the first per partition and
+the second on the driver.
 
 At query time every candidate cell (bottom-left corners of candidate
 regions) gets a distance lower bound from the *bounded region* (cells
@@ -94,23 +97,55 @@ def build_grid_index(
             if len(x)
             else (0.0, 0.0, 0.0, 0.0)
         )
-    x0, x1, y0, y1 = bounds
-    cw = (x1 - x0) / sx if x1 > x0 else 1.0
-    ch = (y1 - y0) / sy if y1 > y0 else 1.0
-    ci = np.clip(((x - x0) / cw).astype(np.int64), 0, sx - 1)
-    cj = np.clip(((y - y0) / ch).astype(np.int64), 0, sy - 1)
     prepared = F.prepare(objects)
-    W = np.concatenate([prepared.weights, np.ones((len(x), 1))], axis=1)
-    C1 = W.shape[1]
+    planes = cell_planes(x, y, prepared.weights, bounds, sx, sy)
+    return index_from_planes(planes, bounds, sx, sy, prepared)
+
+
+def _cell_size(bounds: tuple[float, float, float, float], sx: int, sy: int) -> tuple[float, float]:
+    x0, x1, y0, y1 = bounds
+    return ((x1 - x0) / sx if x1 > x0 else 1.0, (y1 - y0) / sy if y1 > y0 else 1.0)
+
+
+def cell_planes(
+    x: np.ndarray,
+    y: np.ndarray,
+    W: np.ndarray,
+    bounds: tuple[float, float, float, float],
+    sx: int,
+    sy: int,
+) -> np.ndarray:
+    """Per-cell totals of the channel weights ``W`` (one row per object)
+    plus a trailing object-count channel: shape ``(C+1, sx*sy)``, cell
+    ``(i, j)`` at ``i*sy + j``. Objects outside ``bounds`` are clipped
+    into the border cells. Planes of disjoint object sets add up to the
+    planes of their union."""
+    cw, ch = _cell_size(bounds, sx, sy)
+    ci = np.clip(((x - bounds[0]) / cw).astype(np.int64), 0, sx - 1)
+    cj = np.clip(((y - bounds[2]) / ch).astype(np.int64), 0, sy - 1)
     lin = ci * sy + cj
-    planes = np.zeros((C1, sx * sy))
-    for c in range(C1):
+    planes = np.empty((W.shape[1] + 1, sx * sy))
+    for c in range(W.shape[1]):
         planes[c] = np.bincount(lin, weights=W[:, c], minlength=sx * sy)
-    planes = planes.reshape(C1, sx, sy)
-    suffix = np.zeros((C1, sx + 1, sy + 1))
+    planes[-1] = np.bincount(lin, minlength=sx * sy)
+    return planes
+
+
+def index_from_planes(
+    planes: np.ndarray,
+    bounds: tuple[float, float, float, float],
+    sx: int,
+    sy: int,
+    prepared: Prepared,
+) -> GridIndex:
+    """The ``GridIndex`` whose summaries are the 2-D suffix sums of the
+    ``cell_planes`` layout ``planes``."""
+    cw, ch = _cell_size(bounds, sx, sy)
+    planes = planes.reshape(-1, sx, sy)
+    suffix = np.zeros((len(planes), sx + 1, sy + 1))
     suffix[:, :sx, :sy] = planes[:, ::-1, ::-1].cumsum(1).cumsum(2)[:, ::-1, ::-1]
     return GridIndex(
-        sx=sx, sy=sy, x0=x0, y0=y0, cw=cw, ch=ch, suffix=suffix, prepared=prepared
+        sx=sx, sy=sy, x0=bounds[0], y0=bounds[2], cw=cw, ch=ch, suffix=suffix, prepared=prepared
     )
 
 

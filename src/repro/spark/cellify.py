@@ -1,12 +1,10 @@
-"""Grid-cell assignment and the candidate-cell explosion.
+"""The candidate-cell explosion of the distributed scan.
 
-``with_cell_ids`` buckets objects into the grid index's cells (the
-geo-partitioning used for the summary build). ``explode_to_candidate_cells``
-replicates each object to every *candidate* cell its reduced rectangle
-can reach — candidate cell ``(i, j)`` holds bottom-left corners in
-``[x0+i*cw, x0+(i+1)*cw] x [y0+j*ch, y0+(j+1)*ch]`` and object ``o``
-matters there iff its rectangle ``(o.x-a, o.x) x (o.y-b, o.y)`` overlaps
-the cell. The index range is computed with floor arithmetic that may
+``explode_to_candidate_cells`` replicates each object to every
+*candidate* cell its reduced rectangle can reach — candidate cell
+``(i, j)`` holds bottom-left corners in ``[x0+i*cw, x0+(i+1)*cw] x
+[y0+j*ch, y0+(j+1)*ch]`` and object ``o`` matters there iff its
+rectangle ``(o.x-a, o.x) x (o.y-b, o.y)`` overlaps the cell. The index range is computed with floor arithmetic that may
 include one spare cell per side (a safe superset: an object whose
 rectangle misses the cell never covers any of its locations).
 """
@@ -14,17 +12,6 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as sf
-
-
-def with_cell_ids(
-    df: DataFrame, x0: float, y0: float, cw: float, ch: float, sx: int, sy: int
-) -> DataFrame:
-    """Add clipped grid coordinates ``ci``/``cj`` for each object."""
-    ci = sf.floor((sf.col("x") - sf.lit(x0)) / sf.lit(cw)).cast("long")
-    cj = sf.floor((sf.col("y") - sf.lit(y0)) / sf.lit(ch)).cast("long")
-    return df.withColumn(
-        "ci", sf.least(sf.greatest(ci, sf.lit(0)), sf.lit(sx - 1))
-    ).withColumn("cj", sf.least(sf.greatest(cj, sf.lit(0)), sf.lit(sy - 1)))
 
 
 def explode_to_candidate_cells(

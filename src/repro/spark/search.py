@@ -2,8 +2,8 @@
 
 Dataflow (the ``distributed_dataflow`` shape of the reproduction):
 
-1. **Index build** (Spark): per-cell channel sums via ``groupBy`` and
-   suffix summaries via window cumulative sums (``spark.summaries``).
+1. **Index build** (Spark): per-partition channel planes summed with a
+   ``groupBy``; the driver takes the suffix summaries (``spark.summaries``).
 2. **Prune** (driver): Section-5.3 lower bounds for every candidate
    cell from the collected summary planes — O(sx*sy) NumPy work.
 3. **Seed** (driver): run DS-Search on the single most promising cell
@@ -33,7 +33,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as sf
 
-from repro.core.aggregators import CompositeAggregator, prepare_meta
+from repro.core.aggregators import CompositeAggregator
 from repro.core.distance import weighted_l1
 from repro.core.dssearch import ds_search
 from repro.core.geometry import Space
@@ -112,15 +112,7 @@ def gi_ds_distributed(
     dx, dy = accuracy if accuracy is not None else edge_accuracies(df, a, b)
 
     ii, jj, lbs = candidate_cell_bounds(index, query_rep, weights, a, b)
-    meta = prepare_meta(
-        F,
-        minmax={
-            i: (ps.amin, ps.amax)
-            for i, ps in enumerate(index.prepared.specs)
-            if ps.spec.kind == "avg"
-        },
-    )
-    empty_dist = float(weighted_l1(meta.empty_rep(), query_rep, weights))
+    empty_dist = float(weighted_l1(index.prepared.empty_rep(), query_rep, weights))
     far_pt = (index.x0 + (index.sx + 1) * index.cw + a, index.y0 + (index.sy + 1) * index.ch + b)
     dopt, popt = empty_dist, far_pt
     stats = DistributedStats(total_cells=len(lbs), index_bytes=index.nbytes)

@@ -1,142 +1,32 @@
-"""Grid-index attribute summaries via groupBy + window suffix sums.
+"""Grid-index attribute summaries built from per-partition channel planes.
 
 The paper's attribute summary table of cell ``g(i,j)`` covers all
-objects in ``G[i..inf][j..inf]`` — a 2-D suffix sum. Here that is
-computed as a Catalyst dataflow: per-object channel columns (the same
-channelisation as ``core.aggregators``), a ``groupBy(ci, cj)``
-aggregation onto the grid, and two window passes of descending
-cumulative sums (over ``ci`` within ``cj``, then over ``cj`` within
-``ci``) that turn cell totals into suffix totals. The resulting planes
-are collected (at most ``sx * sy`` rows, e.g. 256^2 = 65k) into the
-same ``GridIndex`` structure the driver-side search uses — verified
-bit-equal to the NumPy build in the test suite.
+objects in ``G[i..inf][j..inf]`` — a 2-D suffix sum. The distributed
+build shares every step that touches channels with the NumPy build
+(``core.gridindex``): a few small jobs collect the global metadata (fD
+domains, the object bounds, fA value ranges) into one
+``prepare_meta`` layout; one ``mapInPandas`` pass then has each
+partition compute ``channel_weights`` and bucket them into
+``cell_planes``, emitting its non-empty cells as partial sums; a
+``groupBy(cell).sum()`` adds the partials, and the driver collects at
+most ``sx * sy`` rows and takes the suffix sums with
+``index_from_planes``. The result is the ``GridIndex`` the driver-side
+search uses — its planes equal the NumPy build's (the count plane
+exactly) in the test suite.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from pyspark.sql import Column, DataFrame, Window
+import pandas as pd
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as sf
 
 from repro.core.aggregators import CompositeAggregator, prepare_meta
-from repro.core.gridindex import GridIndex
+from repro.core.gridindex import GridIndex, cell_planes, index_from_planes
+from repro.core.reduction import object_coords
 from repro.spark.aggregates import gamma_cond, resolve_domains
-from repro.spark.cellify import with_cell_ids
-
-
-def channel_exprs(
-    F: CompositeAggregator,
-    minmax: dict[int, tuple[float, float]] | None = None,
-) -> list[Column]:
-    """Per-object channel columns, in ``core.aggregators`` channel order,
-    plus the trailing plain-count channel.
-
-    ``minmax[i]`` supplies the fA spec ``i``'s global value range, needed
-    to build its value-bucket indicator channels (see
-    ``core.aggregators.AVG_BUCKETS``); obtain it with
-    ``avg_spec_minmax``. Required when ``F`` contains an fA spec.
-    """
-    from repro.core.aggregators import AVG_BUCKETS
-
-    minmax = minmax or {}
-    cols: list[Column] = []
-    k = 0
-    for i, spec in enumerate(F.specs):
-        g = gamma_cond(spec.gamma)
-        if spec.kind == "dist":
-            for v in spec.domain:
-                cols.append(
-                    sf.when(g & (sf.col(spec.attr) == sf.lit(v)), 1.0)
-                    .otherwise(0.0)
-                    .alias(f"ch_{k}")
-                )
-                k += 1
-        else:
-            val = sf.col(spec.attr).cast("double")
-            if spec.kind == "avg":
-                cols.append(sf.when(g, 1.0).otherwise(0.0).alias(f"ch_{k}"))
-                k += 1
-            cols.append(
-                sf.when(g, sf.greatest(val, sf.lit(0.0))).otherwise(0.0).alias(f"ch_{k}")
-            )
-            k += 1
-            cols.append(
-                sf.when(g, sf.least(val, sf.lit(0.0))).otherwise(0.0).alias(f"ch_{k}")
-            )
-            k += 1
-            if spec.kind == "avg":
-                if i not in minmax:
-                    raise ValueError(
-                        f"spec {i}: fA channel exprs need minmax (use avg_spec_minmax)"
-                    )
-                amin, amax = minmax[i]
-                width = (amax - amin) or 1.0
-                code = sf.least(
-                    sf.greatest(
-                        sf.floor((val - sf.lit(amin)) / sf.lit(width) * sf.lit(AVG_BUCKETS)),
-                        sf.lit(0),
-                    ),
-                    sf.lit(AVG_BUCKETS - 1),
-                )
-                for kb in range(AVG_BUCKETS):
-                    cols.append(
-                        sf.when(g & (code == sf.lit(kb)), 1.0)
-                        .otherwise(0.0)
-                        .alias(f"ch_{k}")
-                    )
-                    k += 1
-    cols.append(sf.lit(1.0).alias(f"ch_{k}"))
-    return cols
-
-
-def cell_channel_sums(
-    df: DataFrame,
-    F: CompositeAggregator,
-    x0: float,
-    y0: float,
-    cw: float,
-    ch: float,
-    sx: int,
-    sy: int,
-    minmax: dict[int, tuple[float, float]] | None = None,
-) -> DataFrame:
-    """Channel totals per grid cell: the groupBy half of the summary build.
-    Missing cells are filled with zeros via a dense grid scaffold."""
-    spark = df.sparkSession
-    if minmax is None:
-        minmax = avg_spec_minmax(df, F)
-    cols = channel_exprs(F, minmax)
-    tagged = with_cell_ids(df.select("*", *cols), x0, y0, cw, ch, sx, sy)
-    ch_names = [f"ch_{k}" for k in range(len(cols))]
-    sums = tagged.groupBy("ci", "cj").agg(
-        *[sf.sum(c).alias(c) for c in ch_names]
-    )
-    scaffold = (
-        spark.range(sx)
-        .withColumnRenamed("id", "ci")
-        .crossJoin(spark.range(sy).withColumnRenamed("id", "cj"))
-    )
-    return scaffold.join(sums, ["ci", "cj"], "left").na.fill(0.0, ch_names)
-
-
-def suffix_sums(cells: DataFrame, n_channels: int) -> DataFrame:
-    """Two descending cumulative-sum window passes: cell totals ->
-    2-D suffix totals (the dense attribute summary tables)."""
-    ch_names = [f"ch_{k}" for k in range(n_channels)]
-    w1 = (
-        Window.partitionBy("cj")
-        .orderBy(sf.desc("ci"))
-        .rowsBetween(Window.unboundedPreceding, Window.currentRow)
-    )
-    for c in ch_names:
-        cells = cells.withColumn(c, sf.sum(c).over(w1))
-    w2 = (
-        Window.partitionBy("ci")
-        .orderBy(sf.desc("cj"))
-        .rowsBetween(Window.unboundedPreceding, Window.currentRow)
-    )
-    for c in ch_names:
-        cells = cells.withColumn(c, sf.sum(c).over(w2))
-    return cells
 
 
 def avg_spec_minmax(df: DataFrame, F: CompositeAggregator) -> dict[int, tuple[float, float]]:
@@ -172,28 +62,31 @@ def build_grid_index_spark(
     Returns ``(index, F_resolved)`` — the index (with a metadata-only
     ``Prepared``) and ``F`` with all fD domains resolved, which callers
     must use for any subsequent distributed work.
+
+    Raises ``ValueError`` on NaN or infinite coordinates (Spark orders
+    NaN above every value, so the bounds job sees them; with explicit
+    ``bounds`` the partition tasks raise). An empty DataFrame gives an
+    all-zero index.
     """
     F = resolve_domains(df, F)
     if bounds is None:
-        r = df.agg(
-            sf.min("x"), sf.max("x"), sf.min("y"), sf.max("y")
-        ).collect()[0]
-        bounds = (float(r[0]), float(r[1]), float(r[2]), float(r[3]))
-    x0, x1, y0, y1 = bounds
-    cw = (x1 - x0) / sx if x1 > x0 else 1.0
-    chh = (y1 - y0) / sy if y1 > y0 else 1.0
-    mm = avg_spec_minmax(df, F)
-    n_channels = len(channel_exprs(F, mm))
-    cells = cell_channel_sums(df, F, x0, y0, cw, chh, sx, sy, minmax=mm)
-    suf = suffix_sums(cells, n_channels)
-    pdf = suf.toPandas()
-    suffix = np.zeros((n_channels, sx + 1, sy + 1))
-    ci = pdf["ci"].to_numpy(dtype=np.int64)
-    cj = pdf["cj"].to_numpy(dtype=np.int64)
-    for k in range(n_channels):
-        suffix[k, ci, cj] = pdf[f"ch_{k}"].to_numpy(dtype=np.float64)
-    prepared = prepare_meta(F, minmax=mm)
-    index = GridIndex(
-        sx=sx, sy=sy, x0=x0, y0=y0, cw=cw, ch=chh, suffix=suffix, prepared=prepared
-    )
-    return index, F
+        r = df.agg(sf.min("x"), sf.max("x"), sf.min("y"), sf.max("y")).collect()[0]
+        bounds = (0.0, 0.0, 0.0, 0.0) if r[0] is None else tuple(float(v) for v in r)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("object coordinates x/y must be finite (found NaN or inf)")
+    meta = prepare_meta(F, minmax=avg_spec_minmax(df, F))
+    cols = [f"c{k}" for k in range(meta.n_channels + 1)]
+
+    def partial_planes(batches):
+        planes = np.zeros((len(cols), sx * sy))
+        for pdf in batches:
+            x, y = object_coords(pdf)
+            planes += cell_planes(x, y, meta.channel_weights(pdf), bounds, sx, sy)
+        cells = np.flatnonzero(planes[-1])
+        yield pd.DataFrame({"cell": cells, **dict(zip(cols, planes[:, cells]))})
+
+    schema = ", ".join(["cell long"] + [f"{c} double" for c in cols])
+    sums = df.mapInPandas(partial_planes, schema).groupBy("cell").sum(*cols).toPandas()
+    planes = np.zeros((len(cols), sx * sy))
+    planes[:, sums["cell"].to_numpy()] = sums[[f"sum({c})" for c in cols]].to_numpy().T
+    return index_from_planes(planes, bounds, sx, sy, meta), F
