@@ -64,11 +64,6 @@ class Selection:
             return np.ones(len(df), dtype=bool)
         return df[self.attr].isin(self.values).to_numpy()
 
-    def describe(self) -> str:
-        if self.attr is None:
-            return "all"
-        return f"{self.attr}∈{list(self.values)}"
-
 
 ALL = Selection()
 
@@ -331,7 +326,3 @@ class CompositeAggregator:
         prepared = prepare_meta(self, domains, minmax)
         prepared.weights = prepared.channel_weights(df)
         return prepared
-
-    @property
-    def k(self) -> int:
-        return len(self.specs)

@@ -24,6 +24,19 @@ cells), but the evaluation is written for any number of edges, which
 both closes the boundary-clipping corner case and keeps the algorithm
 exact for *any* user-supplied accuracy override.
 
+When the drop branch runs: distinct edge coordinates are at least
+``dx`` (``dy``) apart, so a space split into ``n1 x n2`` cells that meets
+the drop condition (width below ``n1*dx/2``) holds at most
+``ceil(n1/2)`` distinct x-edges strictly inside it, and at most
+``(ceil(n1/2)+1) * (ceil(n2/2)+1) <= 2*ceil(N/2) + 2`` arrangement cells,
+``N = ncol*nrow`` (the 1-D sliver grids, ``1 x N``, are the worst
+shape). With ``N <= 4094`` that is within ``DEFAULT_ENUM_POINTS`` = 4096,
+so the budget check has already enumerated the space before it is
+discretized and the drop branch never runs (the default 30 x 30 grid
+gives at most 902 cells). It runs only with ``enum_points=0`` or an
+accuracy override larger than the true gap, as the tests of the pure
+paper algorithm use; it stays for fidelity to the paper.
+
 Discretize's cell centers and the arrangement cells are evaluated by one
 kernel: ``_accum_planes`` difference arrays over an explicit edge grid
 (the prefix-sum idea of Lemma 8), costing O(m*C + cells*C) for ``m``
@@ -385,7 +398,6 @@ def ds_search(
     nrow: int = 30,
     delta: float = 0.0,
     init: tuple[float, tuple[float, float]] | None = None,
-    include_empty: bool = True,
     enum_points: int = DEFAULT_ENUM_POINTS,
     stats: SearchStats | None = None,
 ) -> tuple[float, tuple[float, float], SearchStats]:
@@ -396,7 +408,7 @@ def ds_search(
     exact; with ``delta > 0`` it satisfies ``dopt <= (1+delta) * d*``.
 
     ``init`` seeds ``(dopt, popt)`` (used by GI-DS to share the incumbent
-    across index cells); ``include_empty`` additionally seeds the
+    across index cells); without it the search starts from the
     empty-region candidate, whose bottom-left corner lies outside every
     rectangle.
     """
@@ -405,11 +417,8 @@ def ds_search(
     if init is not None:
         dopt, popt = init
     else:
-        dopt, popt = np.inf, (space.x1 + prob.a + 1.0, space.y1 + prob.b + 1.0)
-    if include_empty:
-        out_pt = (prob.space.x1 + prob.a + 1.0, prob.space.y1 + prob.b + 1.0)
-        if prob.empty_dist < dopt:
-            dopt, popt = prob.empty_dist, out_pt
+        dopt = prob.empty_dist
+        popt = (prob.space.x1 + prob.a + 1.0, prob.space.y1 + prob.b + 1.0)
     if space.is_degenerate() or prob.n == 0:
         return dopt, popt, stats
 

@@ -25,10 +25,6 @@ class Space:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    @property
-    def area(self) -> float:
-        return max(0.0, self.width) * max(0.0, self.height)
-
     def is_degenerate(self) -> bool:
         """True when the box has no interior in either dimension."""
         return self.width <= 0.0 or self.height <= 0.0

@@ -58,6 +58,16 @@ class GridIndex:
         """Serialized size of the summary tables (Table 1's 'index size')."""
         return int(self.suffix.nbytes)
 
+    def cell_space(self, i: int, j: int) -> Space:
+        """Extent of candidate cell ``(i, j)``: the bottom-left corners it
+        holds (``i``/``j`` may be negative for margin cells)."""
+        return Space(
+            float(self.x0 + i * self.cw),
+            float(self.x0 + (i + 1) * self.cw),
+            float(self.y0 + j * self.ch),
+            float(self.y0 + (j + 1) * self.ch),
+        )
+
     def region_sums(
         self, i0: np.ndarray, i1: np.ndarray, j0: np.ndarray, j1: np.ndarray
     ) -> np.ndarray:
@@ -235,20 +245,13 @@ def gi_ds(
     for c in order:
         if lbs[c] >= dopt / (1.0 + delta):
             break
-        cell = Space(
-            index.x0 + ii[c] * index.cw,
-            index.x0 + (ii[c] + 1) * index.cw,
-            index.y0 + jj[c] * index.ch,
-            index.y0 + (jj[c] + 1) * index.ch,
-        )
         dopt, popt, _ = ds_search(
             prob,
-            cell,
+            index.cell_space(ii[c], jj[c]),
             ncol=ncol,
             nrow=nrow,
             delta=delta,
             init=(dopt, popt),
-            include_empty=False,
             stats=stats.ds,
         )
         stats.searched_cells += 1

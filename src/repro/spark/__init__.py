@@ -12,6 +12,7 @@ The paper's contribution is a search algorithm, not a planner rule, so
   channel planes per partition (``mapInPandas``), summed per cell with
   ``groupBy``, suffix sums on the driver;
 - ``search``: the distributed GI-DS scan — candidate index cells are
-  pruned with driver-side lower bounds, then searched in parallel with
-  the DS-Search kernel inside ``applyInPandas`` tasks.
+  pruned and sorted with driver-side lower bounds, dealt round-robin to
+  the tasks, and each ``applyInPandas`` task runs Algorithm 2 over its
+  share with the DS-Search kernel.
 """

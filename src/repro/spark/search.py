@@ -6,23 +6,28 @@ Dataflow (the ``distributed_dataflow`` shape of the reproduction):
    ``groupBy``; the driver takes the suffix summaries (``spark.summaries``).
 2. **Prune** (driver): Section-5.3 lower bounds for every candidate
    cell from the collected summary planes — O(sx*sy) NumPy work.
-3. **Seed** (driver): run DS-Search on the single most promising cell
-   (its objects fetched with one filter) to obtain an incumbent
-   distance ``d_seed``.
-4. **Parallel scan** (Spark): objects are exploded to the surviving
-   candidate cells (``cellify``), grouped by cell, and each group runs
-   the DS-Search kernel inside an ``applyInPandas`` task seeded with
-   ``d_seed``. Every task is an independent, exact cell-restricted
-   search (rectangles not overlapping a cell cannot cover any of its
-   locations — the paper's locality property), so the global minimum of
-   the task results and the seed is the exact answer.
+3. **Shares** (driver): the cells whose bound is below the empty-region
+   distance over ``(1+delta)``, sorted by bound and dealt round-robin
+   to P tasks, P = ``defaultParallelism`` — a small
+   ``(ci, cj, rank, task)`` table.
+4. **Parallel scan** (Spark): objects are exploded to the candidate
+   cells (``cellify``), joined with the broadcast share table, and
+   grouped by task into P partitions. Each ``applyInPandas`` task runs Algorithm 2 over
+   its share: it walks its cells in rank order, stops at the first
+   cell with ``lb >= d/(1+delta)``, and carries its own incumbent ``d``
+   from cell to cell. A cell search only needs the objects exploded to
+   it (rectangles not overlapping a cell cannot cover any of its
+   locations — the paper's locality property), so each task is an exact
+   Algorithm-2 scan of its share and the minimum over the tasks is the
+   exact answer (within (1+delta) when ``delta > 0``).
 
 Divergence from the sequential Algorithm 2, by design: the sequential
-scan threads a monotonically improving ``dopt`` through the cells,
-while the parallel scan fixes the seed bound for all tasks. That may
-search more cells than strictly necessary, but wall-clock parallelism
-replaces the sequential short-circuit; the result is identical (tested
-against the driver implementation and brute force).
+scan threads one incumbent ``dopt`` through all cells, while here each
+task threads its own through its share. A task may search a cell that
+another task's incumbent would have pruned, so the P tasks together
+search somewhat more cells than the sequential loop; wall-clock
+parallelism replaces that sharing. At ``delta = 0`` the result is
+identical (tested against the driver implementation and brute force).
 """
 from __future__ import annotations
 
@@ -30,21 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as sf
 
 from repro.core.aggregators import CompositeAggregator
 from repro.core.distance import weighted_l1
 from repro.core.dssearch import ds_search
-from repro.core.geometry import Space
 from repro.core.gridindex import GridIndex, candidate_cell_bounds
 from repro.core.reduction import build_asp
 from repro.spark.cellify import explode_to_candidate_cells
 from repro.spark.summaries import build_grid_index_spark
 
-_RESULT_SCHEMA = (
-    "ci long, cj long, dist double, px double, py double, spaces long"
-)
+_RESULT_SCHEMA = "task long, dist double, px double, py double, cells long"
 
 
 def edge_accuracies(df: DataFrame, a: float, b: float) -> tuple[float, float]:
@@ -77,8 +79,8 @@ class DistributedStats:
     """Driver-side counters for the distributed scan."""
 
     total_cells: int = 0
+    #: cells the tasks searched
     candidate_cells: int = 0
-    seed_dist: float = float("inf")
     index_bytes: int = 0
 
 
@@ -114,82 +116,64 @@ def gi_ds_distributed(
     ii, jj, lbs = candidate_cell_bounds(index, query_rep, weights, a, b)
     empty_dist = float(weighted_l1(index.prepared.empty_rep(), query_rep, weights))
     far_pt = (index.x0 + (index.sx + 1) * index.cw + a, index.y0 + (index.sy + 1) * index.ch + b)
-    dopt, popt = empty_dist, far_pt
     stats = DistributedStats(total_cells=len(lbs), index_bytes=index.nbytes)
 
-    def cell_space(i: int, j: int) -> Space:
-        return Space(
-            index.x0 + i * index.cw,
-            index.x0 + (i + 1) * index.cw,
-            index.y0 + j * index.ch,
-            index.y0 + (j + 1) * index.ch,
-        )
-
-    def fetch_cell_objects(cell: Space) -> pd.DataFrame:
-        cond = (
-            (sf.col("x") > sf.lit(cell.x0))
-            & (sf.col("x") - sf.lit(a) < sf.lit(cell.x1))
-            & (sf.col("y") > sf.lit(cell.y0))
-            & (sf.col("y") - sf.lit(b) < sf.lit(cell.y1))
-        )
-        return df.where(cond).toPandas()
-
-    # --- seed: search the most promising cell on the driver -------------
-    seed_c = int(np.argmin(lbs))
-    if lbs[seed_c] < dopt / (1.0 + delta):
-        cell = cell_space(int(ii[seed_c]), int(jj[seed_c]))
-        local = fetch_cell_objects(cell)
-        if len(local):
-            prob = build_asp(local, F, query_rep, weights, a, b, accuracy=(dx, dy))
-            dopt, popt, _ = ds_search(
-                prob, cell, ncol=ncol, nrow=nrow, delta=delta,
-                init=(dopt, popt), include_empty=False,
-            )
-    stats.seed_dist = dopt
-
-    # --- parallel scan over the surviving cells -------------------------
-    survive = lbs < dopt / (1.0 + delta)
-    survive[seed_c] = False
-    stats.candidate_cells = int(survive.sum())
-    if stats.candidate_cells == 0:
-        return dopt, popt, stats
-
-    cand_pdf = pd.DataFrame(
-        {"ci": ii[survive].astype("int64"), "cj": jj[survive].astype("int64")}
+    # the cells that may beat the empty region, in bound order, dealt
+    # round-robin to the tasks
+    order = np.argsort(lbs, kind="stable")
+    order = order[lbs[order] < empty_dist / (1.0 + delta)]
+    if len(order) == 0:
+        return empty_dist, far_pt, stats
+    n_tasks = spark.sparkContext.defaultParallelism
+    rank = np.arange(len(order))
+    shares = spark.createDataFrame(
+        pd.DataFrame(
+            {"ci": ii[order], "cj": jj[order], "rank": rank, "task": rank % n_tasks}
+        ).astype("int64")
     )
-    cand_sdf = spark.createDataFrame(cand_pdf)
+    rank_lb = lbs[order]
+    rank_cell = [index.cell_space(i, j) for i, j in zip(ii[order], jj[order])]
+
     mi = max(0, -int(ii.min()))
     mj = max(0, -int(jj.min()))
     exploded = explode_to_candidate_cells(
         df, a, b, index.x0, index.y0, index.cw, index.ch, index.sx, index.sy, mi, mj
     )
-    tasks = exploded.join(cand_sdf, ["ci", "cj"], "inner")
+    tasks = exploded.join(sf.broadcast(shares), ["ci", "cj"], "inner")
 
-    x0, y0, cw, ch = index.x0, index.y0, index.cw, index.ch
-    seed_dopt = dopt
-
-    # no type hints: partial hints make PySpark warn that it cannot infer
-    # the eval type; without any it uses the grouped-map UDF directly
+    # Algorithm 2 over one task's share: cells in bound order, the
+    # incumbent carried from cell to cell, stop at the first pruned cell.
+    # No type hints: partial hints make PySpark warn that it cannot infer
+    # the eval type; without any it uses the grouped-map UDF directly.
     def kernel(key, pdf):
-        i, j = int(key[0]), int(key[1])
-        cell = Space(x0 + i * cw, x0 + (i + 1) * cw, y0 + j * ch, y0 + (j + 1) * ch)
-        prob = build_asp(
-            pdf.drop(columns=["ci", "cj"]), F, query_rep, weights, a, b,
-            accuracy=(dx, dy),
-        )
-        d, (px, py), st = ds_search(
-            prob, cell, ncol=ncol, nrow=nrow, delta=delta,
-            init=(seed_dopt, (np.nan, np.nan)), include_empty=False,
-        )
+        d, pt, searched = empty_dist, (np.nan, np.nan), 0
+        for r, rows in pdf.groupby("rank", sort=True):
+            if rank_lb[r] >= d / (1.0 + delta):
+                break
+            prob = build_asp(
+                rows.drop(columns=["ci", "cj", "rank", "task"]), F, query_rep, weights,
+                a, b, accuracy=(dx, dy),
+            )
+            d, pt, _ = ds_search(
+                prob, rank_cell[r], ncol=ncol, nrow=nrow, delta=delta, init=(d, pt)
+            )
+            searched += 1
         return pd.DataFrame(
-            [[i, j, d, px, py, st.spaces_processed]],
-            columns=["ci", "cj", "dist", "px", "py", "spaces"],
+            [[int(key[0]), d, pt[0], pt[1], searched]],
+            columns=["task", "dist", "px", "py", "cells"],
         )
 
-    results = tasks.groupBy("ci", "cj").applyInPandas(kernel, _RESULT_SCHEMA).toPandas()
+    # Without the explicit repartition, adaptive execution coalesces the
+    # small shuffle into one partition and the shares run one after another.
+    results = (
+        tasks.repartition(n_tasks, "task")
+        .groupBy("task")
+        .applyInPandas(kernel, _RESULT_SCHEMA)
+        .toPandas()
+    )
+    stats.candidate_cells = int(results["cells"].sum())
     if len(results):
-        k = int(results["dist"].idxmin())
-        if results.loc[k, "dist"] < dopt:
-            dopt = float(results.loc[k, "dist"])
-            popt = (float(results.loc[k, "px"]), float(results.loc[k, "py"]))
-    return dopt, popt, stats
+        best = results.loc[results["dist"].idxmin()]
+        if best["dist"] < empty_dist:
+            return float(best["dist"]), (float(best["px"]), float(best["py"])), stats
+    return empty_dist, far_pt, stats

@@ -144,7 +144,7 @@ class TestProblemHelpers:
     def test_zero_objects(self):
         df = pd.DataFrame({"x": [], "y": [], "color": []})
         prob = build(df)
-        assert prob.n == 0 and prob.space.area == 0.0
+        assert prob.n == 0 and prob.space.is_degenerate()
 
     @pytest.mark.parametrize("col", ["x", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

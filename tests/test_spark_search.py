@@ -7,9 +7,11 @@ import pytest
 
 from repro.core.bruteforce import brute_force_asp
 from repro.core.dssearch import ds_search
-from repro.core.gridindex import gi_ds
+from repro.core.gridindex import candidate_cell_bounds, gi_ds
 from repro.core.reduction import build_asp
+from repro.spark.cellify import explode_to_candidate_cells
 from repro.spark.search import edge_accuracies, gi_ds_distributed
+from repro.spark.summaries import build_grid_index_spark
 from tests.conftest import aggregator_zoo, random_objects, random_query
 
 
@@ -72,16 +74,77 @@ class TestDistributedGIDS:
         _, _, stats = gi_ds_distributed(sdf, F, qrep, w, a, b, sx=6, sy=6)
         assert stats.total_cells > 36  # margins included
         assert stats.index_bytes > 0
-        assert np.isfinite(stats.seed_dist)
+        assert 0 < stats.candidate_cells <= stats.total_cells
 
     def test_prebuilt_index_and_accuracy_override(self, spark):
         pdf, F, qrep, w, a, b = make_inputs(6)
         sdf = spark.createDataFrame(pdf)
-        from repro.spark.summaries import build_grid_index_spark
-
         idx, F_res = build_grid_index_spark(sdf, F, 6, 6)
         got, _, _ = gi_ds_distributed(
             sdf, F_res, qrep, w, a, b, index=idx, accuracy=(0.25, 0.25)
         )
         expected, _ = brute_force_asp(build_asp(pdf, F, qrep, w, a, b))
         assert got == pytest.approx(expected, abs=1e-8)
+
+
+class TestTaskShares:
+    """Each task runs Algorithm 2 over a round-robin share of the
+    bound-sorted cells. 8x8 cells on 150 objects leave many more
+    surviving cells than tasks, so every task walks several cells, and
+    its break and its carried incumbent decide how many it searches."""
+
+    @staticmethod
+    def replay(spark, sdf, prob, idx, ii, jj, lbs, a, b) -> tuple[int, int]:
+        """``(searched, receiving)`` at delta = 0, replayed on the driver.
+
+        The cells with ``lb < empty_dist`` are dealt round-robin in bound
+        order; each share is walked with its own incumbent until its
+        first cell with ``lb >= d``. Cells no object is exploded to have
+        no rows in any task and are skipped. ``receiving`` counts the
+        surviving cells that do get rows: a scan without the break
+        searches all of them.
+        """
+        mi, mj = max(0, -int(ii.min())), max(0, -int(jj.min()))
+        exploded = explode_to_candidate_cells(
+            sdf, a, b, idx.x0, idx.y0, idx.cw, idx.ch, idx.sx, idx.sy, mi, mj
+        )
+        has_rows = {(r.ci, r.cj) for r in exploded.select("ci", "cj").distinct().collect()}
+        order = np.argsort(lbs, kind="stable")
+        order = order[lbs[order] < prob.empty_dist]
+        n_tasks = spark.sparkContext.defaultParallelism
+        searched = 0
+        for t in range(n_tasks):
+            d = prob.empty_dist
+            for c in order[t::n_tasks]:
+                if (ii[c], jj[c]) not in has_rows:
+                    continue
+                if lbs[c] >= d:
+                    break
+                d, _, _ = ds_search(prob, idx.cell_space(ii[c], jj[c]), init=(d, (np.nan, np.nan)))
+                searched += 1
+        return searched, sum((ii[c], jj[c]) in has_rows for c in order)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(5))  # one per aggregator_zoo() F
+    def test_shares_scan(self, spark, seed, delta):
+        rng = np.random.default_rng(seed)
+        pdf, F, qrep, w, a, b = make_inputs(seed, n=150)
+        # query-by-example has optimum 0, where every break is a tie at
+        # d = 0; an offset query has a positive optimum
+        qrep = qrep + rng.uniform(0.5, 1.5, len(qrep))
+        sdf = spark.createDataFrame(pdf)
+        idx, F_res = build_grid_index_spark(sdf, F, 8, 8)
+        prob = build_asp(pdf, F, qrep, w, a, b)
+        opt, _ = brute_force_asp(prob)
+        got, pt, stats = gi_ds_distributed(sdf, F_res, qrep, w, a, b, index=idx, delta=delta)
+        if delta == 0:
+            assert got == pytest.approx(opt, abs=1e-8)
+        else:
+            assert got <= (1 + delta) * opt + 1e-8
+        assert prob.point_dist(*pt) == pytest.approx(got, abs=1e-8)
+        ii, jj, lbs = candidate_cell_bounds(idx, qrep, w, a, b)
+        assert stats.candidate_cells <= int((lbs < prob.empty_dist).sum())
+        if delta == 0:
+            searched, receiving = self.replay(spark, sdf, prob, idx, ii, jj, lbs, a, b)
+            assert searched < receiving  # the instance makes the breaks fire
+            assert stats.candidate_cells == searched
