@@ -35,7 +35,7 @@ from repro.core.aggregators import CompositeAggregator, Prepared
 from repro.core.distance import lower_bound
 from repro.core.dssearch import SearchStats, ds_search
 from repro.core.geometry import Space
-from repro.core.reduction import build_asp, object_coords
+from repro.core.reduction import build_asp, check_delta, object_coords
 
 
 @dataclass
@@ -232,8 +232,10 @@ def gi_ds(
     """Algorithm 2 (GI-DS) / its Section-6 approximation (delta > 0).
 
     Returns ``(dopt, popt, stats)``; with ``delta == 0`` the result is
-    exact and equals plain DS-Search.
+    exact and equals plain DS-Search. Raises ``ValueError`` when
+    ``delta < 0`` and on a query that breaks ``check_query``.
     """
+    check_delta(delta)
     prob = build_asp(objects, F, query_rep, weights, a, b, accuracy=accuracy)
     if index is None:
         index = build_grid_index(objects, F, sx, sy)

@@ -32,6 +32,41 @@ def object_coords(objects: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def check_query(
+    prepared: Prepared, query_rep, weights, a: float, b: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The query representation and weights as float arrays, checked
+    against the input contract of the public entry points.
+
+    Raises ``ValueError`` unless ``a`` and ``b`` are finite and positive,
+    ``query_rep`` and ``weights`` are finite and hold one entry per output
+    dimension of ``prepared``, and no weight is negative (a negative
+    weight voids Eq. 1's lower bound, Lemma 4).
+    """
+    for name, v in (("a", a), ("b", b)):
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"query size {name} must be finite and > 0, got {v!r}")
+    q = np.asarray(query_rep, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    for name, v in (("query_rep", q), ("weights", w)):
+        if v.shape != (prepared.out_dim,):
+            raise ValueError(
+                f"{name} must have length {prepared.out_dim} (the aggregator's "
+                f"output dimension), got shape {v.shape}"
+            )
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite (found NaN or inf)")
+    if (w < 0).any():
+        raise ValueError("weights must be non-negative")
+    return q, w
+
+
+def check_delta(delta: float) -> None:
+    """Raise ``ValueError`` unless the approximation factor ``delta`` is >= 0."""
+    if not delta >= 0:  # also rejects NaN
+        raise ValueError(f"delta must be >= 0, got {delta!r}")
+
+
 def min_gap(values: np.ndarray) -> float:
     """Minimum distance between distinct values (Definition 7).
 
@@ -116,7 +151,8 @@ def build_asp(
     minimum gap between distinct rectangle-edge coordinates. Supplying a
     *larger* value only makes DS-Search switch earlier from splitting to
     exact in-cell enumeration (see dssearch.py) — exactness holds either
-    way. Raises ``ValueError`` on non-finite coordinates.
+    way. Raises ``ValueError`` on non-finite coordinates and on a query
+    that breaks ``check_query``.
     """
     x, y = object_coords(objects)
     x_lo, x_hi = x - a, x
@@ -127,6 +163,7 @@ def build_asp(
     else:
         dx, dy = accuracy
     prepared = F.prepare(objects)
+    query_rep, weights = check_query(prepared, query_rep, weights, a, b)
     if len(x):
         space = Space(float(x_lo.min()), float(x_hi.max()), float(y_lo.min()), float(y_hi.max()))
     else:
@@ -139,8 +176,8 @@ def build_asp(
         y_lo=y_lo,
         y_hi=y_hi,
         prepared=prepared,
-        query_rep=np.asarray(query_rep, dtype=np.float64),
-        weights=np.asarray(weights, dtype=np.float64),
+        query_rep=query_rep,
+        weights=weights,
         dx=dx,
         dy=dy,
         space=space,

@@ -42,7 +42,7 @@ from repro.core.aggregators import CompositeAggregator
 from repro.core.distance import weighted_l1
 from repro.core.dssearch import ds_search
 from repro.core.gridindex import GridIndex, candidate_cell_bounds
-from repro.core.reduction import build_asp
+from repro.core.reduction import build_asp, check_delta, check_query
 from repro.spark.cellify import explode_to_candidate_cells
 from repro.spark.summaries import build_grid_index_spark
 
@@ -101,16 +101,20 @@ def gi_ds_distributed(
     accuracy: tuple[float, float] | None = None,
 ) -> tuple[float, tuple[float, float], DistributedStats]:
     """Exact (or, with ``delta > 0``, (1+delta)-approximate) ASRS over a
-    Spark DataFrame of objects. Returns ``(dopt, popt, stats)``."""
+    Spark DataFrame of objects. Returns ``(dopt, popt, stats)``.
+
+    Raises ``ValueError`` on the driver, before the scan, when
+    ``delta < 0`` and on a query that breaks ``check_query``.
+    """
+    check_delta(delta)
     spark = df.sparkSession
-    query_rep = np.asarray(query_rep, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
     if index is None:
         index, F = build_grid_index_spark(df, F, sx, sy)
     else:
         from repro.spark.aggregates import resolve_domains
 
         F = resolve_domains(df, F)
+    query_rep, weights = check_query(index.prepared, query_rep, weights, a, b)
     dx, dy = accuracy if accuracy is not None else edge_accuracies(df, a, b)
 
     ii, jj, lbs = candidate_cell_bounds(index, query_rep, weights, a, b)

@@ -58,6 +58,26 @@ def random_query(rng: np.random.Generator, F: CompositeAggregator, objects: pd.D
     return qrep, w
 
 
+#: Queries that break the input contract, as edits of the valid
+#: one-channel fS query ``a = b = 1, query_rep = [1], weights = [1]``.
+BAD_QUERIES = {
+    "a_negative": {"a": -1.0},
+    "a_nan": {"a": np.nan},
+    "b_inf": {"b": np.inf},
+    "b_zero": {"b": 0.0},
+    "query_rep_nan": {"qrep": np.array([np.nan])},
+    "query_rep_too_long": {"qrep": np.array([1.0, 1.0]), "w": np.array([1.0, 1.0])},
+    "weights_inf": {"w": np.array([np.inf])},
+    "weights_too_short": {"w": np.zeros(0)},
+    "weights_negative": {"w": np.array([-1.0])},
+}
+
+
+def bad_query(case: str) -> dict:
+    """Keyword arguments ``qrep, w, a, b`` of the ``BAD_QUERIES`` case."""
+    return {"qrep": np.array([1.0]), "w": np.array([1.0]), "a": 1.0, "b": 1.0, **BAD_QUERIES[case]}
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

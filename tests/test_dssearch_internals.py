@@ -158,3 +158,23 @@ class TestDiscretizeWithIdx:
         assert g1.best_dist == pytest.approx(g2.best_dist)
         np.testing.assert_array_equal(g1.dirty_i, g2.dirty_i)
         np.testing.assert_allclose(g1.dirty_lb, g2.dirty_lb)
+
+
+class TestDegenerateSpace:
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_no_interior_yields_no_candidate(self, axis):
+        """A space without interior, at a rectangle edge of fine-lattice
+        data (like a drop-branch cell whose float edges coincide), has no
+        arrangement cell: it yields no candidate and raises nothing."""
+        df = random_objects(np.random.default_rng(1), 40, lattice=0.05)
+        F = CompositeAggregator((sum_agg("val"),))
+        prob = build_asp(df, F, np.array([5.0]), np.ones(1), 1.0, 1.0)
+        s = prob.space
+        if axis == "x":
+            space = Space(float(prob.x_hi[0]), float(prob.x_hi[0]), s.y0, s.y1)
+        else:
+            space = Space(s.x0, s.x1, float(prob.y_lo[0]), float(prob.y_lo[0]))
+        stats = SearchStats()
+        d, (px, py) = enumerate_space(prob, space, stats)
+        assert d == np.inf and np.isnan(px) and np.isnan(py)
+        assert stats.enum_spaces == 0 and stats.points_evaluated == 0

@@ -15,7 +15,14 @@ from repro.core.gridindex import (
     gi_ds,
 )
 from repro.core.reduction import build_asp
-from tests.conftest import COLORS, aggregator_zoo, random_objects, random_query
+from tests.conftest import (
+    BAD_QUERIES,
+    COLORS,
+    aggregator_zoo,
+    bad_query,
+    random_objects,
+    random_query,
+)
 
 
 def make_inputs(seed, n=40, zoo_idx=None):
@@ -168,3 +175,34 @@ class TestGIDS:
         df.loc[3, col] = np.nan
         with pytest.raises(ValueError, match="finite"):
             build_grid_index(df, F, 4, 4)
+
+
+class TestInputContract:
+    """Queries outside the contract fail with ``ValueError`` at every
+    driver entry point instead of answering with a wrong number or an
+    unrelated error."""
+
+    F = CompositeAggregator((sum_agg("val"),))
+
+    @pytest.mark.parametrize("case", sorted(BAD_QUERIES))
+    def test_bad_query_rejected(self, case):
+        df = random_objects(np.random.default_rng(3), 30)
+        q = bad_query(case)
+        with pytest.raises(ValueError):
+            build_asp(df, self.F, q["qrep"], q["w"], q["a"], q["b"])
+        with pytest.raises(ValueError):
+            gi_ds(df, self.F, q["qrep"], q["w"], q["a"], q["b"], sx=4, sy=4)
+
+    @pytest.mark.parametrize("delta", [-1.0, -0.5, np.nan])
+    def test_negative_delta_rejected(self, delta):
+        df = random_objects(np.random.default_rng(3), 30)
+        qrep, w = np.array([1.0]), np.array([1.0])
+        with pytest.raises(ValueError, match="delta"):
+            gi_ds(df, self.F, qrep, w, 1.0, 1.0, sx=4, sy=4, delta=delta)
+        with pytest.raises(ValueError, match="delta"):
+            ds_search(build_asp(df, self.F, qrep, w, 1.0, 1.0), delta=delta)
+
+    def test_zero_weights_accepted(self):
+        df = random_objects(np.random.default_rng(3), 30)
+        got, _, _ = gi_ds(df, self.F, np.array([1.0]), np.zeros(1), 1.0, 1.0, sx=4, sy=4)
+        assert got == 0.0

@@ -12,7 +12,14 @@ from repro.core.reduction import build_asp
 from repro.spark.cellify import explode_to_candidate_cells
 from repro.spark.search import edge_accuracies, gi_ds_distributed
 from repro.spark.summaries import build_grid_index_spark
-from tests.conftest import aggregator_zoo, random_objects, random_query
+from repro.core.aggregators import CompositeAggregator, sum_agg
+from tests.conftest import (
+    BAD_QUERIES,
+    aggregator_zoo,
+    bad_query,
+    random_objects,
+    random_query,
+)
 
 
 def make_inputs(seed, n=60):
@@ -148,3 +155,36 @@ class TestTaskShares:
             searched, receiving = self.replay(spark, sdf, prob, idx, ii, jj, lbs, a, b)
             assert searched < receiving  # the instance makes the breaks fire
             assert stats.candidate_cells == searched
+
+
+class TestInputContract:
+    """The driver's input contract holds on Spark: ``gi_ds_distributed``
+    raises ``ValueError`` on the driver before any scan."""
+
+    F = CompositeAggregator((sum_agg("val"),))
+
+    @pytest.fixture(scope="class")
+    def sdf(self, spark):
+        return spark.createDataFrame(random_objects(np.random.default_rng(3), 30))
+
+    @pytest.fixture(scope="class")
+    def index(self, sdf):
+        return build_grid_index_spark(sdf, self.F, 4, 4)[0]
+
+    @pytest.mark.parametrize("case", sorted(BAD_QUERIES))
+    def test_bad_query_rejected(self, sdf, index, case):
+        q = bad_query(case)
+        with pytest.raises(ValueError):
+            gi_ds_distributed(sdf, self.F, q["qrep"], q["w"], q["a"], q["b"], index=index)
+
+    def test_bad_query_rejected_without_index(self, sdf):
+        q = bad_query("a_negative")
+        with pytest.raises(ValueError, match="finite and > 0"):
+            gi_ds_distributed(sdf, self.F, q["qrep"], q["w"], q["a"], q["b"], sx=4, sy=4)
+
+    @pytest.mark.parametrize("delta", [-1.0, np.nan])
+    def test_negative_delta_rejected(self, sdf, index, delta):
+        with pytest.raises(ValueError, match="delta"):
+            gi_ds_distributed(
+                sdf, self.F, np.array([1.0]), np.array([1.0]), 1.0, 1.0, index=index, delta=delta
+            )
